@@ -1,6 +1,5 @@
 #include "dse/cli.h"
 
-#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <iostream>
@@ -15,6 +14,7 @@
 #include "service/client.h"
 #include "service/proto.h"
 #include "support/error.h"
+#include "support/flags.h"
 #include "support/str.h"
 #include "support/table.h"
 
@@ -89,44 +89,22 @@ const char kUsage[] =
     "                   [--probe] [--key=HEX16] [--timing] [--id=TAG],\n"
     "                   or --stats / --health / --shutdown\n";
 
-struct Flags {
-  std::map<std::string, std::string> values;
-  std::vector<std::string> order;  // for unknown-flag reporting
-
-  bool has(const std::string& name) const { return values.count(name) != 0; }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = values.find(name);
-    return it == values.end() ? fallback : it->second;
-  }
-};
-
 // Per-command flag vocabularies (unknown flags error instead of being
 // silently ignored).
-const std::vector<const char*> kExploreFlags = {
-    "kernel", "algos", "budget", "budgets", "interchange", "tiles", "unroll",
-    "transforms", "prune", "fetch", "jobs", "format", "frontier", "per-point"};
-const std::vector<const char*> kClientFlags = {
-    "socket", "tcp", "emit", "decode", "print", "script", "repeat", "kernel",
-    "transforms", "algo", "budget", "budgets", "fetch", "probe", "key",
-    "timing", "id", "stats", "health", "shutdown", "timeout-ms", "retries"};
-
-Flags parse_flags(const std::vector<std::string>& args, std::size_t first,
-                  const std::vector<const char*>& known) {
-  Flags flags;
-  for (std::size_t i = first; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    check(starts_with(arg, "--"), cat("unexpected argument: ", arg));
-    const std::size_t eq = arg.find('=');
-    const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    check(std::find_if(known.begin(), known.end(),
-                       [&](const char* k) { return name == k; }) != known.end(),
-          cat("unknown flag: --", name));
-    check(flags.values.emplace(name, value).second, cat("duplicate flag: --", name));
-    flags.order.push_back(name);
-  }
-  return flags;
-}
+const FlagVocabulary kExploreFlags = {
+    {"kernel", "algos", "budget", "budgets", "tiles", "unroll", "transforms",
+     "prune", "fetch", "jobs", "format"},
+    {"interchange", "frontier", "per-point"}};
+const FlagVocabulary kClientFlags = {
+    {"socket", "tcp", "decode", "print", "script", "repeat", "kernel",
+     "transforms", "algo", "budget", "budgets", "fetch", "key", "id",
+     "timeout-ms", "retries"},
+    {"emit", "probe", "timing", "stats", "health", "shutdown"}};
+// One request's tokens: a --script line's key=value words, or the same
+// words given as client flags.
+const FlagVocabulary kRequestTokens = {
+    {"kernel", "transforms", "algo", "budget", "budgets", "fetch", "key", "id"},
+    {"probe", "timing", "stats", "health", "shutdown"}};
 
 // Canonical matching key: lower-case, '-' folded to '_'.
 std::string canon(std::string_view name) {
@@ -227,16 +205,9 @@ std::vector<bool> resolve_fetch(const std::string& mode) {
   fail(cat("bad --fetch value: ", mode, " (want on|off|both)"));
 }
 
+// srra's integer flags take at most 7 digits, so every value fits an int.
 int parse_int(const std::string& text, const char* what, int min_value) {
-  // The length bound keeps std::stoi from throwing std::out_of_range,
-  // which would escape run_cli's srra::Error handler and abort.
-  check(!text.empty() && text.size() <= 7 &&
-            text.find_first_not_of("0123456789") == std::string::npos,
-        cat("bad ", what, " value: ", text));
-  const int value = std::stoi(text);
-  check(value >= min_value,
-        cat("bad ", what, " value: ", text, " (must be >= ", min_value, ")"));
-  return value;
+  return static_cast<int>(parse_count(text, what, min_value, 7));
 }
 
 int cmd_list(std::ostream& out) {
@@ -418,21 +389,11 @@ std::string resolve_kernel_text(const std::string& token) {
   return text.str();
 }
 
-// Builds one request payload from key=value tokens (the client flags and
-// --script lines share this vocabulary: kernel, transforms, algo, budget,
-// budgets, fetch, probe, key, timing, id, stats, shutdown).
-std::string client_request(const std::map<std::string, std::string>& tokens) {
-  for (const auto& [name, value] : tokens) {
-    static const char* known[] = {"kernel", "transforms", "algo",   "budget",
-                                  "budgets", "fetch",     "probe",  "key",
-                                  "timing",  "id",        "stats",  "health",
-                                  "shutdown"};
-    check(std::find_if(std::begin(known), std::end(known),
-                       [&, n = name](const char* k) { return n == k; }) != std::end(known),
-          cat("unknown request token: ", name, (value.empty() ? "" : "="), value));
-  }
-  const auto has = [&](const char* k) { return tokens.count(k) != 0; };
-  const auto get = [&](const char* k) { return tokens.at(k); };
+// Builds one request payload from the request flags: the client's own
+// flags, or one --script line's key=value tokens (kRequestTokens).
+std::string client_request(const Flags& tokens) {
+  const auto has = [&](const char* k) { return tokens.has(k); };
+  const auto get = [&](const char* k) { return tokens.get(k, ""); };
 
   JsonValue request = JsonValue::make_object();
   const int admin_ops = static_cast<int>(has("stats")) + static_cast<int>(has("health")) +
@@ -516,27 +477,13 @@ int cmd_client(const Flags& flags, std::ostream& out) {
     while (std::getline(in, line)) {
       const std::string_view body = trim(line);
       if (body.empty() || body.front() == '#') continue;
-      std::map<std::string, std::string> tokens;
+      std::vector<std::string> tokens;
       std::istringstream fields{std::string(body)};
-      std::string token;
-      while (fields >> token) {
-        const std::size_t eq = token.find('=');
-        const std::string name = token.substr(0, eq);
-        const std::string value = eq == std::string::npos ? "" : token.substr(eq + 1);
-        check(tokens.emplace(name, value).second,
-              cat("duplicate request token '", name, "' in: ", std::string(body)));
-      }
-      requests.push_back(client_request(tokens));
+      for (std::string token; fields >> token;) tokens.push_back("--" + token);
+      requests.push_back(client_request(parse_flags(tokens, 0, kRequestTokens)));
     }
   } else {
-    std::map<std::string, std::string> tokens;
-    for (const char* name : {"kernel", "transforms", "budget", "budgets", "fetch",
-                             "probe", "key", "timing", "id", "stats", "health",
-                             "shutdown"}) {
-      if (flags.has(name)) tokens.emplace(name, flags.get(name, ""));
-    }
-    if (flags.has("algo")) tokens.emplace("algo", flags.get("algo", ""));
-    requests.push_back(client_request(tokens));
+    requests.push_back(client_request(flags));
   }
   const int repeat =
       flags.has("repeat") ? parse_int(flags.get("repeat", "1"), "--repeat", 1) : 1;

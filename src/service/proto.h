@@ -21,10 +21,12 @@
 //    "probe": false,                        -- cache-only: never compute
 //    "key": "0123456789abcdef",             -- probe an exact cache key
 //    "timing": false}                       -- include elapsed_us
-//   {"op": "stats"}    -- server counters (hits/misses/coalesced/...)
 //   {"op": "health"}   -- store mode (ok|degraded|disabled), store/failure
 //                         counters, hit rate, eviction-policy counters
 //                         (DESIGN.md §14, §15)
+//   {"op": "stats"}    -- alias of health: the same object plus jobs,
+//                         requests, queries and store_enabled, under the
+//                         member name "stats"
 //   {"op": "pull", "limit": 256, "offset": 0}
 //                      -- page of stored entries, top recompute-cost-per-
 //                         byte score first: a cold daemon's warmup stream

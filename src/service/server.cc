@@ -118,7 +118,7 @@ void Server::store_put(const std::string& key, const std::string& payload,
   }
 }
 
-std::string Server::health_response(const std::string& id) {
+std::string Server::status_response(const Request& request) {
   const char* mode = store_mode_ == StoreMode::kOk         ? "ok"
                      : store_mode_ == StoreMode::kDegraded ? "degraded"
                                                            : "disabled";
@@ -152,7 +152,14 @@ std::string Server::health_response(const std::string& id) {
   health.set("errors", JsonValue::make_int(stats_.errors));
   health.set("deadline_closes", JsonValue::make_int(stats_.deadline_closes));
   health.set("fault_plan", JsonValue::make_bool(faultio::plan_installed()));
-  return make_value_response(id, "health", health);
+  if (request.op == RequestOp::kHealth) {
+    return make_value_response(request.id, "health", health);
+  }
+  health.set("jobs", JsonValue::make_int(pool_.jobs()));
+  health.set("requests", JsonValue::make_int(stats_.requests));
+  health.set("queries", JsonValue::make_int(stats_.queries));
+  health.set("store_enabled", JsonValue::make_bool(store_.enabled()));
+  return make_value_response(request.id, "stats", health);
 }
 
 namespace {
@@ -164,17 +171,17 @@ constexpr std::int64_t kMaxPullBytes = std::int64_t{4} << 20;
 }  // namespace
 
 std::string Server::pull_response(const Request& request) {
-  // Stored entries, highest recompute-cost-per-byte score first (ties:
-  // oldest arrival, then key) — the same ordering eviction respects, so a
-  // cold peer pulling a prefix adopts exactly the entries most worth
-  // keeping. Paged by entry count (limit/offset) and a payload byte cap.
+  // Stored entries, highest cost_score first (ties: oldest arrival, then
+  // key), so a cold peer pulling a prefix adopts the entries most worth
+  // keeping. Unlike the eviction order this ignores the process-local
+  // last_use: the order depends only on persisted fields, the same on every
+  // daemon sharing the store. Paged by entry count (limit/offset) and a
+  // payload byte cap.
   std::vector<StoreEntryInfo> rows = store_.snapshot();
   std::sort(rows.begin(), rows.end(),
             [](const StoreEntryInfo& a, const StoreEntryInfo& b) {
-              const double sa = static_cast<double>(a.cost) /
-                                static_cast<double>(std::max<std::int64_t>(1, a.bytes));
-              const double sb = static_cast<double>(b.cost) /
-                                static_cast<double>(std::max<std::int64_t>(1, b.bytes));
+              const double sa = cost_score(a.cost, a.bytes);
+              const double sb = cost_score(b.cost, b.bytes);
               if (sa != sb) return sa > sb;
               if (a.seq != b.seq) return a.seq < b.seq;
               return a.key < b.key;
@@ -334,40 +341,18 @@ const Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel
 void Server::cache_insert(const std::string& key, const std::string& payload,
                           std::int64_t cost) {
   if (memory_cache_.count(key) != 0) return;
-  // Same eviction policy as the persistent store: lowest recompute-cost-
-  // per-byte score first, ties least-recently-used, then oldest arrival —
-  // so an expensive frontier/BB-RA payload outlives cheap budget points in
-  // memory too.
   while (static_cast<std::int64_t>(memory_cache_.size()) >=
              options_.memory_max_entries &&
          !memory_cache_.empty()) {
-    auto victim = memory_cache_.begin();
-    double victim_score = 0.0;
-    bool first = true;
-    for (auto it = memory_cache_.begin(); it != memory_cache_.end(); ++it) {
-      const MemEntry& e = it->second;
-      const double score =
-          static_cast<double>(e.cost) /
-          static_cast<double>(std::max<std::int64_t>(1, static_cast<std::int64_t>(
-                                                            e.payload.size())));
-      const bool better =
-          first || score < victim_score ||
-          (score == victim_score &&
-           (e.last_use < victim->second.last_use ||
-            (e.last_use == victim->second.last_use && e.seq < victim->second.seq)));
-      if (better) {
-        victim = it;
-        victim_score = score;
-        first = false;
-      }
-    }
-    memory_cache_.erase(victim);
+    memory_cache_.erase(scan_victim(memory_cache_).first);
   }
+  // seq stays 0: every insert and hit takes a fresh last_use tick, so
+  // recency alone breaks every score tie.
   MemEntry entry;
-  entry.payload = payload;
+  entry.bytes = static_cast<std::int64_t>(payload.size());
   entry.cost = std::max<std::int64_t>(1, cost);
   entry.last_use = ++memory_tick_;
-  entry.seq = ++memory_seq_;
+  entry.payload = payload;
   memory_cache_.emplace(key, std::move(entry));
 }
 
@@ -529,25 +514,8 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
       responses[i] = make_error_response(slot.request.id, slot.error);
       continue;
     }
-    if (slot.request.op == RequestOp::kStats) {
-      JsonValue stats = JsonValue::make_object();
-      stats.set("jobs", JsonValue::make_int(pool_.jobs()));
-      stats.set("requests", JsonValue::make_int(stats_.requests));
-      stats.set("queries", JsonValue::make_int(stats_.queries));
-      stats.set("hits", JsonValue::make_int(stats_.hits));
-      stats.set("misses", JsonValue::make_int(stats_.misses));
-      stats.set("computed", JsonValue::make_int(stats_.computed));
-      stats.set("coalesced", JsonValue::make_int(stats_.coalesced));
-      stats.set("errors", JsonValue::make_int(stats_.errors));
-      stats.set("store_enabled", JsonValue::make_bool(store_.enabled()));
-      stats.set("store_entries", JsonValue::make_int(store_.entries()));
-      stats.set("store_evictions", JsonValue::make_int(store_.evictions()));
-      stats.set("store_corrupt_dropped", JsonValue::make_int(store_.corrupt_dropped()));
-      responses[i] = make_value_response(slot.request.id, "stats", stats);
-      continue;
-    }
-    if (slot.request.op == RequestOp::kHealth) {
-      responses[i] = health_response(slot.request.id);
+    if (slot.request.op == RequestOp::kHealth || slot.request.op == RequestOp::kStats) {
+      responses[i] = status_response(slot.request);
       continue;
     }
     if (slot.request.op == RequestOp::kPull) {

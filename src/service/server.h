@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "service/eviction.h"
 #include "service/proto.h"
 #include "service/store.h"
 #include "support/thread_pool.h"
@@ -128,13 +129,10 @@ class Server {
   struct ResolvedVariant;  // memoized (kernel text, transforms) resolution
   struct Slot;             // per-request batch state
 
-  /// One in-memory payload-cache entry; evicted by the same
-  /// recompute-cost-per-byte policy as the persistent store.
-  struct MemEntry {
+  /// One in-memory payload-cache entry; evicted by the same policy as the
+  /// persistent store (service/eviction.h).
+  struct MemEntry : CostMeta {
     std::string payload;
-    std::int64_t cost = 1;
-    std::int64_t last_use = 0;
-    std::int64_t seq = 0;
   };
 
   const ResolvedVariant& resolve_variant(const std::string& kernel_field,
@@ -149,7 +147,9 @@ class Server {
   /// one probe success closes the breaker again.
   void store_put(const std::string& key, const std::string& payload,
                  std::int64_t cost);
-  std::string health_response(const std::string& id);
+  /// The `op:"health"` response, or its `op:"stats"` alias: the health
+  /// object plus jobs/requests/queries/store_enabled, under "stats".
+  std::string status_response(const Request& request);
   /// One `op:"pull"` page: stored entries ordered best-score-first, each
   /// payload carried as a JSON string (verbatim bytes) with its hash.
   std::string pull_response(const Request& request);
@@ -166,7 +166,6 @@ class Server {
 
   std::unordered_map<std::string, MemEntry> memory_cache_;
   std::int64_t memory_tick_ = 0;  ///< LRU clock of the payload cache
-  std::int64_t memory_seq_ = 0;   ///< arrival order of the payload cache
 
   std::unordered_map<std::string, std::unique_ptr<ResolvedVariant>> variants_;
 };

@@ -136,11 +136,6 @@ bool write_then_rename(const fs::path& path, const std::string& bytes, bool dura
   return true;
 }
 
-double entry_score(std::int64_t cost, std::int64_t bytes) {
-  return static_cast<double>(cost) /
-         static_cast<double>(std::max<std::int64_t>(1, bytes));
-}
-
 }  // namespace
 
 // The cross-process mutation lease: flock(LOCK_EX) on <dir>/LOCK for the
@@ -581,28 +576,8 @@ bool ResultStore::put(const std::string& key, const std::string& payload,
 void ResultStore::evict_for_insert() {
   while (static_cast<std::int64_t>(index_.size()) >= options_.max_entries &&
          !index_.empty()) {
-    auto victim = index_.begin();
-    double max_score = entry_score(victim->second.cost, victim->second.bytes);
-    for (auto it = std::next(index_.begin()); it != index_.end(); ++it) {
-      const double score = entry_score(it->second.cost, it->second.bytes);
-      max_score = std::max(max_score, score);
-      const double victim_score =
-          entry_score(victim->second.cost, victim->second.bytes);
-      if (score < victim_score ||
-          (score == victim_score &&
-           (it->second.last_use < victim->second.last_use ||
-            (it->second.last_use == victim->second.last_use &&
-             it->second.seq < victim->second.seq)))) {
-        victim = it;
-      }
-    }
-    // Classification: did the cost/bytes score single this victim out, or
-    // did recency break a tie between equals?
-    if (entry_score(victim->second.cost, victim->second.bytes) < max_score) {
-      ++evicted_by_cost_;
-    } else {
-      ++evicted_lru_;
-    }
+    const auto [victim, by_cost] = scan_victim(index_);
+    ++(by_cost ? evicted_by_cost_ : evicted_lru_);
     const std::string key = victim->first;
     remove_entry(key);
     ++evictions_;

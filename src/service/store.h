@@ -19,10 +19,7 @@
 //  * version migration — a FORMAT stamp from another version clears the
 //    store (cold restart) instead of serving payloads of a stale schema;
 //  * bounded size — at most max_entries entries; inserting past the cap
-//    evicts the entry with the lowest recompute-cost-per-byte score
-//    (`score = cost / bytes`), ties broken least-recently-used first, then
-//    by arrival sequence number — so a frontier or BB-RA entry (~100x the
-//    recompute cost of a single-budget point) outlives cheap entries;
+//    evicts by the policy stated in service/eviction.h;
 //  * deterministic order — arrival sequence numbers are persisted in the
 //    entry header and the index, so eviction order survives restarts
 //    regardless of filesystem timestamp resolution (no mtime involved);
@@ -58,6 +55,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "service/eviction.h"
 
 namespace srra::service {
 
@@ -147,12 +146,7 @@ class ResultStore {
   bool open_failed() const { return open_failed_; }
 
  private:
-  struct Meta {
-    std::int64_t bytes = 0;
-    std::int64_t cost = 1;
-    std::int64_t seq = 0;
-    std::int64_t last_use = 0;  ///< process-local LRU tick (not persisted)
-  };
+  using Meta = CostMeta;
 
   std::string entry_path(const std::string& key) const;
   std::string index_path() const;

@@ -312,6 +312,41 @@ TEST(Cli, HelpAndUsageErrors) {
   EXPECT_EQ(run({"sweep", "--kernel=example", "--budgets=99999999999999999999"}).code, 2);
 }
 
+// Switches take no value, no flag may repeat, and each integer flag keeps
+// its range: srra's counts take at most 7 digits.
+TEST(Cli, SwitchValuesAndDuplicateFlagsAreRejected) {
+  for (const char* bad : {"--interchange=garbage", "--frontier=zzz", "--per-point=1",
+                          "--interchange="}) {
+    const CliResult result = run({"sweep", "--kernel=example", "--budgets=16", bad});
+    EXPECT_EQ(result.code, 2) << bad;
+    EXPECT_NE(result.err.find("takes no value"), std::string::npos) << result.err;
+  }
+  for (const char* bad : {"--probe=no", "--timing=1", "--stats=x", "--emit=1"}) {
+    EXPECT_EQ(run({"client", "--emit", "--kernel=fir", bad}).code, 2) << bad;
+  }
+  const CliResult twice = run({"sweep", "--kernel=example", "--jobs=1", "--jobs=2"});
+  EXPECT_EQ(twice.code, 2);
+  EXPECT_NE(twice.err.find("duplicate flag: --jobs"), std::string::npos) << twice.err;
+
+  const CliResult wide = run({"sweep", "--kernel=example", "--jobs=10000000"});
+  EXPECT_EQ(wide.code, 2);
+  EXPECT_NE(wide.err.find("bad --jobs value"), std::string::npos) << wide.err;
+
+  // --script lines are parsed by the same rules, as key=value tokens.
+  const std::string script = ::testing::TempDir() + "srra_cli_tokens.script";
+  const auto emit = [&](const std::string& line) {
+    std::ofstream(script) << "# comment\n" << line << "\n";
+    return run({"client", "--emit", "--script=" + script});
+  };
+  const CliResult good = emit("kernel=fir algo=cpa budget=64 timing");
+  EXPECT_EQ(good.code, 0) << good.err;
+  EXPECT_NE(good.out.find(R"("timing": true)"), std::string::npos) << good.out;
+  EXPECT_EQ(emit("stats").code, 0);
+  EXPECT_EQ(emit("kernel=fir probe=yes").code, 2);
+  EXPECT_EQ(emit("kernel=fir budget=8 budget=16").code, 2);
+  EXPECT_EQ(emit("kernel=fir frobs=3").code, 2);
+}
+
 // `srra run --format=json` emits the service's srra-query/v1 report: one
 // object for one algorithm, an array of them otherwise (test_service.cc
 // additionally pins the single-object bytes against a srrad response).

@@ -320,6 +320,31 @@ TEST(CrashTorture, DaemonRelaunchAnswersByteIdentically) {
   }
 }
 
+// The srrad binary's flags: switches take no value, no flag (or alias
+// pair) repeats, and counts take up to 9 digits. Exit code of one
+// `srrad ARGS < /dev/null`: 0 = accepted (clean EOF), 2 = usage error.
+int srrad_exit(const std::string& args) {
+  const int status = std::system(
+      cat("'", SRRA_SRRAD_BIN, "' ", args, " < /dev/null > /dev/null 2>&1").c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Daemon, RejectsSwitchValuesAndDuplicateFlags) {
+  EXPECT_EQ(srrad_exit("--stdio"), 0);
+  EXPECT_EQ(srrad_exit("--stdio=garbage"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --fsync=1"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --export-manifest=x"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --stdio"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --jobs=1 --jobs=4"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --store-max=2 --store-max-entries=3"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --store-max=2"), 0);
+  EXPECT_EQ(srrad_exit("--stdio --store-max=0"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --store-max-entries=100000000"), 0);
+  EXPECT_EQ(srrad_exit("--stdio --memory-max-entries=999999999"), 0);
+  EXPECT_EQ(srrad_exit("--stdio --store-max-entries=1000000000"), 2);
+  EXPECT_EQ(srrad_exit("--stdio --bogus"), 2);
+}
+
 // ----------------------------------------------- server health & degradation
 
 std::string health_of(Server& server) {

@@ -18,16 +18,20 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dse/cli.h"
 #include "kernels/kernels.h"
 #include "service/client.h"
+#include "service/eviction.h"
 #include "service/proto.h"
 #include "service/server.h"
 #include "service/store.h"
 #include "support/error.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "support/str.h"
 
 namespace srra::service {
@@ -279,6 +283,107 @@ TEST(Store, SnapshotIsSortedAndCarriesCosts) {
   EXPECT_EQ(rows[1].key, std::string(16, 'b'));
   EXPECT_EQ(rows[1].cost, 7);
   EXPECT_EQ(rows[1].seq, 1);
+}
+
+// ----------------------------------------------------------- the eviction scan
+
+// The victim search the store ran before scan_victim, kept here verbatim as
+// the oracle. Lowest cost/bytes score, then lowest last_use, then lowest
+// seq; the first of exact equals in map order. by_cost: the victim's score
+// is below the best score in the map.
+using CostRows = std::unordered_map<std::string, CostMeta>;
+
+std::pair<std::string, bool> reference_victim(const CostRows& rows) {
+  const auto score = [](const CostMeta& e) {
+    return static_cast<double>(e.cost) /
+           static_cast<double>(std::max<std::int64_t>(1, e.bytes));
+  };
+  auto victim = rows.begin();
+  double max_score = score(victim->second);
+  for (auto it = std::next(rows.begin()); it != rows.end(); ++it) {
+    max_score = std::max(max_score, score(it->second));
+    const double victim_score = score(victim->second);
+    if (score(it->second) < victim_score ||
+        (score(it->second) == victim_score &&
+         (it->second.last_use < victim->second.last_use ||
+          (it->second.last_use == victim->second.last_use &&
+           it->second.seq < victim->second.seq)))) {
+      victim = it;
+    }
+  }
+  return {victim->first, score(victim->second) < max_score};
+}
+
+// Seeded random put / replace / touch / erase / evict / reload sequences:
+// at every step scan_victim and the reference must pick the same victim
+// with the same by-cost/LRU classification. Covers forced score ties
+// (cost/bytes over a tiny grid), costs of 1 and 100, and runs of last_use
+// 0 (rows loaded from an INDEX or replayed from a JOURNAL). Store-like
+// sequences give every put a fresh seq; memory-cache-like ones use seq 0
+// and stamp every put, as Server::cache_insert does. Scale with
+// SRRA_FUZZ_ITERS.
+TEST(Eviction, ScanVictimMatchesReferenceScan) {
+  const int iters = fuzz_iters();
+  for (int i = 0; i < iters; ++i) {
+    const std::uint64_t seed = fuzz_seed() + static_cast<std::uint64_t>(i) * 7919 + 3;
+    SCOPED_TRACE("fuzz instance " + std::to_string(i) + " — replay with SRRA_FUZZ_SEED=" +
+                 std::to_string(seed) + " SRRA_FUZZ_ITERS=1");
+    Rng rng(seed);
+    const bool memory_like = i % 2 == 1;
+    const std::int64_t cap = rng.uniform(1, 12);
+    CostRows rows;
+    std::int64_t tick = 0;
+    std::int64_t next_seq = 1;
+    const auto existing_key = [&] {
+      auto it = rows.begin();
+      std::advance(it, rng.uniform(0, static_cast<std::int64_t>(rows.size()) - 1));
+      return it->first;
+    };
+    const auto put = [&](const std::string& key) {
+      const std::int64_t costs[] = {1, 1, 2, 100};
+      const std::int64_t sizes[] = {0, 1, 2, 4, 200};
+      CostMeta e;
+      e.cost = costs[rng.uniform(0, 3)];
+      e.bytes = sizes[rng.uniform(0, 4)];
+      e.seq = memory_like ? 0 : next_seq++;
+      const bool used = memory_like || rng.uniform(0, 2) != 0;
+      e.last_use = used ? ++tick : 0;
+      rows[key] = e;
+    };
+    const auto expect_same_victim = [&](int step) {
+      const auto [victim, by_cost] = scan_victim(rows);
+      const auto [want, want_by_cost] = reference_victim(rows);
+      ASSERT_EQ(victim->first, want) << "step " << step;
+      ASSERT_EQ(by_cost, want_by_cost) << "step " << step;
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      const std::int64_t op = rng.uniform(0, 9);
+      if (op <= 3) {  // insert a new key, evicting down to the cap first
+        const std::string key = cat("k", rng.uniform(0, 23));
+        while (rows.count(key) == 0 && static_cast<std::int64_t>(rows.size()) >= cap) {
+          ASSERT_NO_FATAL_FAILURE(expect_same_victim(step));
+          rows.erase(scan_victim(rows).first);
+        }
+        put(key);
+      } else if (rows.empty()) {
+        continue;
+      } else if (op <= 5) {  // replace an existing key's entry
+        put(existing_key());
+      } else if (op <= 7) {  // a hit
+        rows[existing_key()].last_use = ++tick;
+      } else if (op == 8) {  // an erase (corrupt drop, peer D record)
+        rows.erase(existing_key());
+      } else if (!memory_like) {
+        // A store reload: every row loses its use history (the memory
+        // cache never reloads).
+        for (auto& row : rows) row.second.last_use = 0;
+      }
+      if (!rows.empty()) {
+        ASSERT_NO_FATAL_FAILURE(expect_same_victim(step));
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- the server
@@ -681,6 +786,29 @@ TEST(Server, WarmFromPeerServesByteIdenticalAnswersOnFirstPass) {
   Client shutdown_client = Client::connect_unix(path);
   shutdown_client.roundtrip(R"({"op": "shutdown"})");
   daemon.join();
+}
+
+// `op:"stats"` is a wire alias of health: the same object plus four
+// server counters, under the member name "stats".
+TEST(Server, StatsOpIsHealthPlusServerCounters) {
+  ServerOptions options;
+  options.jobs = 2;
+  options.store_dir = fresh_store("stats_alias");
+  Server server(options);
+  server.handle(query("fir", "cpa", 64));
+  const JsonValue health_doc = parse_json(server.handle(R"({"op": "health"})"));
+  const JsonValue stats_doc = parse_json(server.handle(R"({"op": "stats", "id": "s"})"));
+  EXPECT_EQ(member(stats_doc, "id")->as_string(), "s");
+  const JsonValue& health = *member(health_doc, "health");
+  const JsonValue& stats = *member(stats_doc, "stats");
+  for (const auto& [name, value] : health.members()) {
+    EXPECT_EQ(member(stats, name.c_str())->to_string(), value.to_string()) << name;
+  }
+  EXPECT_EQ(stats.members().size(), health.members().size() + 4);
+  EXPECT_EQ(member(stats, "jobs")->as_int(), 2);
+  EXPECT_EQ(member(stats, "requests")->as_int(), 3);
+  EXPECT_EQ(member(stats, "queries")->as_int(), 1);
+  EXPECT_TRUE(member(stats, "store_enabled")->as_bool());
 }
 
 TEST(Server, HealthReportsHitRateAndEvictionPolicyCounters) {

@@ -11,7 +11,6 @@
 //
 // Query it with `srra client` (see README "Running the service").
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "service/store.h"
 #include "support/error.h"
 #include "support/faultio.h"
+#include "support/flags.h"
 #include "support/str.h"
 
 namespace {
@@ -60,15 +60,10 @@ const char kUsage[] =
     "fault-injection plan over every I/O edge (DESIGN.md §14) — test and\n"
     "soak tooling only.\n";
 
-long long parse_count(const std::string& text, const char* what, long long min_value) {
-  srra::check(!text.empty() && text.size() <= 9 &&
-                  text.find_first_not_of("0123456789") == std::string::npos,
-              srra::cat("bad ", what, " value: ", text));
-  const long long value = std::atoll(text.c_str());
-  srra::check(value >= min_value,
-              srra::cat("bad ", what, " value: ", text, " (must be >= ", min_value, ")"));
-  return value;
-}
+const srra::FlagVocabulary kFlags = {
+    {"socket", "tcp", "store", "store-max-entries", "store-max",
+     "memory-max-entries", "jobs", "read-deadline-ms", "warm-from"},
+    {"stdio", "fsync", "export-manifest"}};
 
 // The srrad-manifest/v1 document: every stored entry's key, size, cost and
 // payload hash, sorted by key — two stores holding the same entries print
@@ -105,58 +100,43 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   const std::vector<std::string> args(argv + 1, argv + argc);
-  bool stdio = false;
-  bool manifest = false;
-  std::string socket_path;
-  std::string warm_from;
-  int tcp_port = 0;
+  for (const std::string& arg : args) {
+    if (arg != "--help" && arg != "-h") continue;
+    std::cout << kUsage;
+    return 0;
+  }
   srra::service::ServerOptions options;
   options.jobs = 0;  // a daemon defaults to all cores; results don't depend on it
 
   try {
     srra::faultio::install_plan_from_env();
-    for (const std::string& arg : args) {
-      if (arg == "--help" || arg == "-h") {
-        std::cout << kUsage;
-        return 0;
-      }
-      const std::size_t eq = arg.find('=');
-      const std::string name = arg.substr(0, eq);
-      const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-      if (name == "--stdio") {
-        stdio = true;
-      } else if (name == "--socket") {
-        srra::check(!value.empty(), "--socket needs a path");
-        socket_path = value;
-      } else if (name == "--tcp") {
-        tcp_port = static_cast<int>(parse_count(value, "--tcp", 1));
-      } else if (name == "--store") {
-        srra::check(!value.empty(), "--store needs a directory");
-        options.store_dir = value;
-      } else if (name == "--store-max-entries" || name == "--store-max") {
-        options.store_max_entries = parse_count(value, name.c_str(), 1);
-      } else if (name == "--memory-max-entries") {
-        options.memory_max_entries = parse_count(value, "--memory-max-entries", 1);
-      } else if (name == "--fsync") {
-        srra::check(value.empty(), "--fsync takes no value");
-        options.store_fsync = true;
-      } else if (name == "--jobs") {
-        options.jobs = static_cast<int>(parse_count(value, "--jobs", 0));
-      } else if (name == "--read-deadline-ms") {
-        options.read_deadline_ms =
-            static_cast<int>(parse_count(value, "--read-deadline-ms", 0));
-      } else if (name == "--export-manifest") {
-        srra::check(value.empty(), "--export-manifest takes no value");
-        manifest = true;
-      } else if (name == "--warm-from") {
-        srra::check(!value.empty(),
-                    "--warm-from needs a peer endpoint (socket path or host:port)");
-        warm_from = value;
-      } else {
-        srra::fail(srra::cat("unknown flag: ", arg));
-      }
-    }
-    if (manifest) {
+    const srra::Flags flags = srra::parse_flags(args, 0, kFlags);
+    // A given text flag needs a value; srrad's integer flags take <= 9 digits.
+    const auto text = [&](const char* name, const char* need) {
+      srra::check(!flags.has(name) || !flags.get(name, "").empty(), need);
+      return flags.get(name, "");
+    };
+    const auto count = [&](const std::string& name, std::int64_t min_value,
+                           std::int64_t fallback) {
+      if (!flags.has(name)) return fallback;
+      return srra::parse_count(flags.get(name, ""), "--" + name, min_value, 9);
+    };
+    const bool stdio = flags.has("stdio");
+    const std::string socket_path = text("socket", "--socket needs a path");
+    const int tcp_port = static_cast<int>(count("tcp", 1, 0));
+    options.store_dir = text("store", "--store needs a directory");
+    srra::check(!(flags.has("store-max-entries") && flags.has("store-max")),
+                "duplicate flag: --store-max (an alias of --store-max-entries)");
+    options.store_max_entries =
+        count("store-max", 1, count("store-max-entries", 1, options.store_max_entries));
+    options.memory_max_entries = count("memory-max-entries", 1, options.memory_max_entries);
+    options.store_fsync = flags.has("fsync");
+    options.jobs = static_cast<int>(count("jobs", 0, options.jobs));
+    options.read_deadline_ms =
+        static_cast<int>(count("read-deadline-ms", 0, options.read_deadline_ms));
+    const std::string warm_from =
+        text("warm-from", "--warm-from needs a peer endpoint (socket path or host:port)");
+    if (flags.has("export-manifest")) {
       srra::check(!stdio && socket_path.empty() && tcp_port == 0 && warm_from.empty(),
                   "--export-manifest runs alone (no serve mode, no --warm-from)");
       return export_manifest(options.store_dir);
